@@ -49,9 +49,11 @@ __all__ = [
     "validate_matrix",
     "validate_vector",
     "validate_assoc",
+    "validate_sorted",
     "check_matrix",
     "check_vector",
     "check_assoc",
+    "check_sorted",
     "checked",
 ]
 
@@ -247,6 +249,23 @@ def validate_assoc(assoc: Any) -> Any:
     return assoc
 
 
+def validate_sorted(keys: np.ndarray, what: str, *, strict: bool = False) -> np.ndarray:
+    """Validate a 1-d key run is non-decreasing (``strict``: increasing).
+
+    The precondition of the binary-search kernels in
+    :mod:`repro.hypersparse.merge`: on an unsorted haystack they return
+    wrong answers silently.  ``what`` names the run in the error.
+    """
+    global _validation_count
+    _validation_count += 1
+    if keys.size > 1:
+        ok = keys[1:] > keys[:-1] if strict else keys[1:] >= keys[:-1]
+        if not bool(np.all(ok)):
+            order = "strictly increasing" if strict else "sorted"
+            raise InvariantViolation(f"{what} invariant violated: keys not {order}")
+    return keys
+
+
 # -- hooks (single predicate check when disabled) ---------------------------
 
 
@@ -281,6 +300,14 @@ def check_assoc(assoc: Any) -> Any:
         for hook in _construct_hooks:
             hook("assoc", assoc)
     return assoc
+
+
+def check_sorted(keys: np.ndarray, what: str, *, strict: bool = False) -> np.ndarray:
+    """Validate ``keys`` with :func:`validate_sorted` iff checking is enabled."""
+    if _enabled:
+        validate_sorted(keys, what, strict=strict)
+        inc(INVARIANT_CHECKS)
+    return keys
 
 
 _VALIDATORS = {

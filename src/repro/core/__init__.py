@@ -3,6 +3,9 @@
 Given telescope samples (constant-packet windows with per-source packet
 counts) and honeyfarm months (source sets), this package computes:
 
+* **overlap fraction** (:func:`overlap_fraction`): the share of a
+  telescope source set found in one sorted honeyfarm month — the one
+  overlap every figure, experiment and the serve engine go through;
 * **peak correlation** (Fig 4): per brightness bin, the fraction of
   telescope sources found in the coeval honeyfarm month, with the
   empirical ``log2(d)/log2(N_V^{1/2})`` law;
@@ -21,6 +24,7 @@ from .correlation import (
     PeakBinResult,
     PeakCorrelation,
     degree_bins,
+    overlap_fraction,
     peak_correlation,
     source_overlap,
 )
@@ -33,6 +37,7 @@ __all__ = [
     "PeakBinResult",
     "PeakCorrelation",
     "degree_bins",
+    "overlap_fraction",
     "peak_correlation",
     "source_overlap",
     "empirical_log_law",

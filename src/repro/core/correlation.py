@@ -4,6 +4,11 @@ The primitive question: *of the telescope sources with brightness in a
 given bin, what fraction appears in the honeyfarm's source set for the
 same month?*  Brightness bins are binary-logarithmic ``[2^i, 2^{i+1})``,
 matching the degree binning used everywhere else in the study.
+
+Every overlap fraction over source sets in the package is
+:func:`overlap_fraction`: one binary search per query into the sorted
+month set (:func:`~repro.hypersparse.merge.in_sorted`), with no sort
+of either operand.
 """
 
 from __future__ import annotations
@@ -14,12 +19,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hypersparse.coo import SparseVec
+from ..hypersparse.merge import in_sorted, intersect_sorted
 
 __all__ = [
     "DegreeBin",
     "PeakBinResult",
     "PeakCorrelation",
     "degree_bins",
+    "overlap_fraction",
     "peak_correlation",
     "source_overlap",
 ]
@@ -65,13 +72,32 @@ def degree_bins(
     return [DegreeBin(2.0**i, 2.0 ** (i + 1)) for i in range(lo_i, hi_i + 1)]
 
 
+def overlap_fraction(queries: np.ndarray, sorted_set: np.ndarray) -> float:
+    """Fraction of ``queries`` present in ``sorted_set``; 0.0 if none.
+
+    ``sorted_set`` must be sorted (non-decreasing; repeats are harmless)
+    — checked under runtime invariants.  ``queries`` may be in any
+    order and each occurrence counts, so for unique queries this is the
+    size of the set intersection over ``queries.size``.
+    """
+    q = np.asarray(queries, dtype=np.uint64)
+    if q.size == 0:
+        return 0.0
+    hits = int(np.count_nonzero(in_sorted(np.asarray(sorted_set, dtype=np.uint64), q)))
+    return hits / q.size
+
+
 def source_overlap(
     telescope_sources: np.ndarray, honeyfarm_sources: np.ndarray
 ) -> Tuple[np.ndarray, float]:
-    """Common sources and the overlap fraction of the telescope set."""
+    """Common sources and the overlap fraction of the telescope set.
+
+    Both sets must be sorted unique (strictly increasing) — checked
+    under runtime invariants.
+    """
     tel = np.asarray(telescope_sources, dtype=np.uint64)
     hf = np.asarray(honeyfarm_sources, dtype=np.uint64)
-    common = np.intersect1d(tel, hf)
+    common, _, _ = intersect_sorted(tel, hf)
     frac = float(common.size) / float(tel.size) if tel.size else 0.0
     return common, frac
 
@@ -143,7 +169,8 @@ def peak_correlation(
     source_packets:
         The telescope window's ``A_t 1`` (per-source packet counts).
     honeyfarm_sources:
-        Sorted unique source addresses of the coeval honeyfarm month.
+        Source addresses of the coeval honeyfarm month, sorted
+        (non-decreasing; checked under runtime invariants).
     n_valid:
         The window's ``N_V``.
     bins:
@@ -154,7 +181,7 @@ def peak_correlation(
         bins = degree_bins(d_max)
     hf = np.asarray(honeyfarm_sources, dtype=np.uint64)
     # One membership test for all telescope sources, then bin the results.
-    seen = np.isin(source_packets.keys, hf, assume_unique=False)
+    seen = in_sorted(hf, source_packets.keys)
     results = []
     for b in bins:
         in_bin = (source_packets.vals >= b.lo) & (source_packets.vals < b.hi)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..fits import FitResult, fit_all_families, fit_temporal
 from ..hypersparse.coo import SparseVec
-from .correlation import DegreeBin
+from .correlation import DegreeBin, overlap_fraction
 
 __all__ = ["TemporalCurve", "temporal_correlation"]
 
@@ -80,7 +80,9 @@ def temporal_correlation(
     source_packets:
         The telescope window's per-source packet counts (``A_t 1``).
     monthly_sources:
-        One sorted unique source array per honeyfarm month.
+        One source array per honeyfarm month, each sorted (non-decreasing;
+        checked under runtime invariants) — the overlap is a binary
+        search into it.
     month_times:
         Fractional-month center of each honeyfarm month.
     t0:
@@ -97,8 +99,7 @@ def temporal_correlation(
     fractions = np.zeros(len(monthly_sources), dtype=np.float64)
     if n:
         for i, hf in enumerate(monthly_sources):
-            hf = np.asarray(hf, dtype=np.uint64)
-            fractions[i] = np.intersect1d(tel, hf).size / n
+            fractions[i] = overlap_fraction(tel, hf)
     return TemporalCurve(
         times=np.asarray(month_times, dtype=np.float64),
         fractions=fractions,

@@ -23,7 +23,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..core import CorrelationStudy
+from ..core import CorrelationStudy, overlap_fraction
 from ..fits import bootstrap_temporal_fit, per_source_trajectories
 from .common import Check, ascii_table
 
@@ -110,6 +110,29 @@ class ConsistencyResult:
         ]
 
 
+def coeval_overlap(study: CorrelationStudy) -> List[Tuple[str, float]]:
+    """Each sample's sources found in its own month; 0.0 for no sources."""
+    labels = study.model.scenario.telescope_labels
+    return [
+        (
+            labels[si],
+            overlap_fraction(
+                sample.sources(), study.monthly_sources[study.coeval_month_index(si)]
+            ),
+        )
+        for si, sample in enumerate(study.samples)
+    ]
+
+
+def reverse_overlap(study: CorrelationStudy) -> List[Tuple[str, float]]:
+    """Each month's sources seen by any telescope sample; 0.0 for none."""
+    all_tel = np.unique(np.concatenate([s.sources() for s in study.samples]))
+    return [
+        (month.label, overlap_fraction(sources, all_tel))
+        for month, sources in zip(study.months, study.monthly_sources)
+    ]
+
+
 def run(study: CorrelationStudy) -> ConsistencyResult:
     """Compute all three consistency views."""
     # 1. KS distance between every pair of sample degree distributions.
@@ -137,20 +160,7 @@ def run(study: CorrelationStudy) -> ConsistencyResult:
             m = min(binned[i].size, binned[j].size)
             max_dev = max(max_dev, float(np.abs(binned[i][:m] - binned[j][:m]).max()))
 
-    # 2. Coeval overlap per sample.
-    coeval = []
-    for si, sample in enumerate(samples):
-        month_sources = study.monthly_sources[study.coeval_month_index(si)]
-        frac = float(np.isin(sample.sources(), month_sources).mean())
-        coeval.append((study.model.scenario.telescope_labels[si], frac))
-
-    # 3. Reverse: fraction of each month's sources ever seen by a telescope.
-    all_tel = np.unique(np.concatenate([s.sources() for s in samples]))
-    reverse = []
-    for month, sources in zip(study.months, study.monthly_sources):
-        frac = float(np.isin(sources, all_tel).mean()) if sources.size else 0.0
-        reverse.append((month.label, frac))
-
+    # 2-3. Coeval and reverse overlap: coeval_overlap, reverse_overlap.
     # 4. Bootstrap the Fig 5 fit.
     sp = study.telescope_sources(0)
     selected = study.threshold_bin().select(sp)
@@ -166,8 +176,8 @@ def run(study: CorrelationStudy) -> ConsistencyResult:
         ks_matrix=ks,
         max_binned_deviation=max_dev,
         sample_labels=tuple(study.model.scenario.telescope_labels),
-        coeval_overlap=coeval,
-        reverse_overlap=reverse,
+        coeval_overlap=coeval_overlap(study),
+        reverse_overlap=reverse_overlap(study),
         alpha_interval=(boot.point["alpha"], *boot.interval("alpha")),
         drop_interval=(
             boot.point["one_month_drop"],

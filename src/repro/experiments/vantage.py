@@ -32,7 +32,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..core import CorrelationStudy, DegreeBin
+from ..core import CorrelationStudy, DegreeBin, overlap_fraction
 from .common import Check, ascii_table
 
 __all__ = ["run", "VantageResult"]
@@ -105,13 +105,11 @@ def run(study: CorrelationStudy) -> VantageResult:
     for lg in range(max(8, top - SWEEP_OCTAVES), top + 1, 2):
         sample = study.model.telescope_sample(4.55, n_valid=1 << lg)
         tel = sample.sources()
-        overall = float(np.isin(tel, coeval).mean()) if tel.size else 0.0
+        overall = overlap_fraction(tel, coeval)
         scale = 2.0 ** (lg - top)
         cohort_bin = DegreeBin(TOP_BIN.lo * scale, TOP_BIN.hi * scale)
         in_bin = cohort_bin.select(sample.source_packets)
-        bin_overlap = (
-            float(np.isin(in_bin.keys, coeval).mean()) if in_bin.nnz else 0.0
-        )
+        bin_overlap = overlap_fraction(in_bin.keys, coeval)
         rows.append((lg, tel.size, overall, bin_overlap, in_bin.nnz))
     return VantageResult(rows=rows)
 

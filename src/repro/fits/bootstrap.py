@@ -18,6 +18,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from ..hypersparse.merge import in_sorted
 from .fitting import fit_temporal, one_month_drop
 
 __all__ = ["BootstrapResult", "bootstrap_temporal_fit", "per_source_trajectories"]
@@ -30,12 +31,14 @@ def per_source_trajectories(
     """Indicator matrix ``(n_sources, n_months)``: source in month's set.
 
     The temporal-correlation curve is exactly the column mean of this
-    matrix; bootstrap replicates are row resamples.
+    matrix; bootstrap replicates are row resamples.  Each month's set
+    must be sorted (non-decreasing; checked under runtime invariants):
+    membership is a binary search into it.
     """
     tel = np.asarray(telescope_sources, dtype=np.uint64)
     out = np.zeros((tel.size, len(monthly_sources)), dtype=bool)
     for j, month in enumerate(monthly_sources):
-        out[:, j] = np.isin(tel, np.asarray(month, dtype=np.uint64))
+        out[:, j] = in_sorted(np.asarray(month, dtype=np.uint64), tel)
     return out
 
 

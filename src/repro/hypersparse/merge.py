@@ -37,6 +37,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.contracts import check_sorted
 from ..obs.metrics import MERGE_FASTPATH_HITS, inc
 from .backend import KERNELS as _K
 
@@ -112,19 +113,26 @@ def intersect_sorted(
     ``np.intersect1d(..., assume_unique=True, return_indices=True)``
     without its internal concatenate-and-argsort.  Thin public wrapper
     over the backend kernel for consumers outside the hypersparse
-    package (d4m associative arrays, tests).
+    package (d4m associative arrays, the core overlap, tests).  Under
+    runtime invariants both runs are checked strictly increasing.
     """
+    check_sorted(keys_a, "intersect_sorted keys_a", strict=True)
+    check_sorted(keys_b, "intersect_sorted keys_b", strict=True)
     return _K.intersect_sorted(keys_a, keys_b)
 
 
 def in_sorted(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Boolean membership of ``queries`` in a canonical key run.
 
-    The ``np.isin`` replacement for sorted unique haystacks: one binary
-    search per query, no sorting.  ``queries`` may be in any order.
-    Thin public wrapper over the backend kernel for consumers outside
-    the hypersparse package.
+    The ``np.isin`` replacement for sorted haystacks: one binary search
+    per query, no sorting.  ``queries`` may be in any order; repeated
+    haystack entries are harmless, but an unsorted haystack gives wrong
+    answers silently, so under runtime invariants it is checked
+    non-decreasing here — the one check every consumer outside the
+    hypersparse package (the core overlap fraction, per-source masks)
+    passes through.
     """
+    check_sorted(sorted_keys, "in_sorted haystack")
     return _K.in_sorted(sorted_keys, queries)
 
 

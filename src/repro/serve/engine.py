@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.correlation import PeakCorrelation, peak_correlation
+from ..core.correlation import PeakCorrelation, overlap_fraction, peak_correlation
 from ..fits.fitting import FitResult, fit_temporal
 from ..hypersparse.coo import SparseVec
 from ..obs.metrics import (
@@ -208,12 +208,7 @@ class CorrelationEngine:
         tel = self._latest_sources.keys
         times = np.asarray([m[0] for m in self._months], dtype=np.float64)
         fracs = np.asarray(
-            [
-                float(np.intersect1d(tel, hf).size) / float(tel.size)
-                if tel.size
-                else 0.0
-                for _, hf in self._months
-            ],
+            [overlap_fraction(tel, hf) for _, hf in self._months],
             dtype=np.float64,
         )
         return times, fracs
