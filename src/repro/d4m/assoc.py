@@ -107,7 +107,7 @@ class Assoc:
             arr = np.asarray(val)
             if arr.dtype.kind in ("U", "S", "O"):
                 string_vals = True
-                vv = K.as_key_array(list(arr))
+                vv = K.as_key_array(arr)
             else:
                 vv = arr.astype(np.float64)
             if vv.size != n:

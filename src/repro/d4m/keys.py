@@ -45,8 +45,10 @@ def as_key_array(keys: Union[str, int, Iterable]) -> np.ndarray:
     if isinstance(keys, np.ndarray):
         if keys.ndim != 1:
             raise ValueError("key arrays must be 1-D")
-        if keys.dtype.kind in ("U", "S"):
+        if keys.dtype.kind == "U":
             return keys.astype(np.str_)
+        if keys.dtype.kind == "S":
+            return np.char.decode(keys, "utf-8")
         return np.asarray([_scalar_to_key(k) for k in keys.tolist()], dtype=np.str_)
     return np.asarray([_scalar_to_key(k) for k in keys], dtype=np.str_)
 

@@ -16,7 +16,8 @@ exhibiting that structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -59,23 +60,28 @@ class HoneyfarmMonth:
     sources:
         Sorted unique source addresses detected this month (population
         detections plus honeyfarm-only noise).
+    responses:
+        Sampled sensor→source response packets (internal→external
+        quadrant evidence for Fig 1).
     enrichment:
         String-valued :class:`~repro.d4m.Assoc`: rows are source IPs,
         columns ``classification`` / ``intent`` / ``first_seen``.
     hits:
         Numeric :class:`~repro.d4m.Assoc` of per-source sensor-hit counts.
-    responses:
-        Sampled sensor→source response packets (internal→external
-        quadrant evidence for Fig 1).
+
+    The correlation reads only ``sources``, so ``enrichment`` and ``hits``
+    are built on first read and cached on the month; only their readers
+    pay for the D4M metadata.
     """
 
     month_index: int
     label: str
     days: int
     sources: np.ndarray
-    enrichment: Assoc
-    hits: Assoc
     responses: Packets
+    _farm: HoneyfarmSimulator = field(repr=False, compare=False)
+    _det_idx: np.ndarray = field(repr=False, compare=False)
+    _noise_addrs: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_sources(self) -> int:
@@ -85,6 +91,25 @@ class HoneyfarmMonth:
     def source_set(self) -> np.ndarray:
         """Sorted unique detected source addresses."""
         return self.sources
+
+    @cached_property
+    def enrichment(self) -> Assoc:
+        """Classification / intent / first-seen metadata (built on first read)."""
+        return self._metadata(self._farm._build_enrichment, self.label)
+
+    @cached_property
+    def hits(self) -> Assoc:
+        """Per-source sensor-hit counts (built on first read)."""
+        return self._metadata(self._farm._build_hits, self.month_index)
+
+    @traced(name="honeyfarm_metadata")
+    def _metadata(self, build, when) -> Assoc:
+        """Run one of the simulator's metadata builders for this month;
+        ``when`` is the builder's month argument (label or index)."""
+        det_addrs = self._farm.population.addresses[self._det_idx]
+        out = build(self._det_idx, det_addrs, self._noise_addrs, when)
+        annotate(month=self.month_index, nnz=out.nnz)
+        return out
 
 
 class HoneyfarmSimulator:
@@ -96,14 +121,12 @@ class HoneyfarmSimulator:
         *,
         config_boost: float = CONFIG_BOOST,
         boost_months: Tuple[int, ...] = CONFIG_CHANGE_MONTHS,
-        enrich: bool = True,
         max_response_packets: int = 4096,
     ):
         self.population = population
         self.config = population.config
         self.config_boost = float(config_boost)
         self.boost_months = tuple(boost_months)
-        self.enrich = bool(enrich)
         self.max_response_packets = int(max_response_packets)
         self._labels = month_labels(self.config.n_months)
 
@@ -125,12 +148,6 @@ class HoneyfarmSimulator:
 
         label = self._labels[m]
         days = month_days(label)
-        if self.enrich:
-            enrichment = self._build_enrichment(det_idx, det_addrs, noise_addrs, label)
-            hits = self._build_hits(det_idx, det_addrs, noise_addrs, m)
-        else:
-            enrichment = Assoc.empty()
-            hits = Assoc.empty()
         responses = self._build_responses(det_addrs, m)
         annotate(month=m, sources=int(sources.size))
         return HoneyfarmMonth(
@@ -138,9 +155,10 @@ class HoneyfarmSimulator:
             label=label,
             days=days,
             sources=sources,
-            enrichment=enrichment,
-            hits=hits,
             responses=responses,
+            _farm=self,
+            _det_idx=det_idx,
+            _noise_addrs=noise_addrs,
         )
 
     # -- internals ----------------------------------------------------------

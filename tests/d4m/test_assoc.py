@@ -45,6 +45,26 @@ class TestConstruction:
         assert a.get("r1", "intent") == "scanner"
         assert a.get("r2", "intent") == "worm"
 
+    def test_utf8_bytes_row_keys(self):
+        a = Assoc(np.array(["é".encode()]), "c", "v")
+        assert a.get("é", "c") == "v"
+
+    @pytest.mark.parametrize(
+        "vals",
+        [
+            np.array(["scanner", "é", "worm"]),
+            np.array(["scanner".encode(), "é".encode(), b"worm"]),
+            np.array(["scanner", "é", b"worm"], dtype=object),
+        ],
+        ids=["U", "S", "O"],
+    )
+    def test_string_value_array_equals_list_form(self, vals):
+        rows, cols = ["r1", "r2", "r3"], ["intent", "intent", "tag"]
+        a = Assoc(rows, cols, vals)
+        assert a.is_string_valued
+        assert a == Assoc(rows, cols, list(vals))
+        assert a.get("r2", "intent") == "é"
+
     def test_string_duplicates_keep_lexicographic_max(self):
         a = Assoc(["r", "r"], ["c", "c"], ["aaa", "zzz"])
         assert a.get("r", "c") == "zzz"

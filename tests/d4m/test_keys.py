@@ -32,6 +32,11 @@ class TestAsKeyArray:
     def test_bytes_decoded(self):
         np.testing.assert_array_equal(as_key_array([b"ip"]), ["ip"])
 
+    def test_utf8_bytes_ndarray_decoded_like_list(self):
+        keys = ["é".encode(), b"ip"]
+        np.testing.assert_array_equal(as_key_array(np.asarray(keys)), ["é", "ip"])
+        np.testing.assert_array_equal(as_key_array(np.asarray(keys)), as_key_array(keys))
+
     def test_string_ndarray_passthrough(self):
         arr = np.asarray(["a", "b"])
         np.testing.assert_array_equal(as_key_array(arr), arr)

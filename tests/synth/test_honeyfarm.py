@@ -1,8 +1,11 @@
 """Honeyfarm simulator: monthly enriched source observations."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.obs.spans import reset_tracing, take_spans, tracing
 from repro.synth import HoneyfarmSimulator, ModelConfig, SourcePopulation
 from repro.synth.calibration import CONFIG_CHANGE_MONTHS
 
@@ -75,10 +78,63 @@ class TestEnrichment:
         _, _, vals = month.hits.triples()
         assert np.all(vals >= 1.0)
 
-    def test_enrichment_can_be_disabled(self, pop):
-        bare = HoneyfarmSimulator(pop, enrich=False).observe_month(3)
-        assert bare.enrichment.nnz == 0
-        assert bare.sources.size > 0
+
+class TestLazyMetadata:
+    @staticmethod
+    def _eager(farm, m):
+        """The metadata as an eager build for month ``m`` would produce it."""
+        pop = farm.population
+        boost = farm.boost_for(m)
+        det_idx = np.flatnonzero(pop.detected_mask(m, boost=boost))
+        det_addrs = pop.addresses[det_idx]
+        noise = pop.noise_addresses[pop.noise_detected_mask(m, boost=boost)]
+        label = farm._labels[m]
+        return (
+            farm._build_enrichment(det_idx, det_addrs, noise, label),
+            farm._build_hits(det_idx, det_addrs, noise, m),
+        )
+
+    def test_observe_builds_no_metadata(self, pop, monkeypatch):
+        farm = HoneyfarmSimulator(pop)
+
+        def forbidden(*args):
+            raise AssertionError("metadata built eagerly")
+
+        monkeypatch.setattr(farm, "_build_enrichment", forbidden)
+        monkeypatch.setattr(farm, "_build_hits", forbidden)
+        farm.observe_month(3)
+
+    def test_first_read_equals_eager_build(self, farm):
+        month = farm.observe_month(3)
+        enrichment, hits = self._eager(farm, 3)
+        assert month.enrichment == enrichment
+        assert month.hits == hits
+
+    def test_second_read_is_cached(self, farm):
+        month = farm.observe_month(3)
+        assert month.enrichment is month.enrichment
+        assert month.hits is month.hits
+
+    def test_pickles_before_metadata_is_built(self, farm):
+        month = farm.observe_month(3)
+        assert "enrichment" not in vars(month)
+        restored = pickle.loads(pickle.dumps(month))
+        np.testing.assert_array_equal(restored.sources, month.sources)
+        assert restored.enrichment == month.enrichment
+        assert restored.hits == month.hits
+
+    def test_build_is_traced(self, farm):
+        month = farm.observe_month(3)
+        with tracing():
+            reset_tracing()
+            month.enrichment
+            month.hits
+            spans = take_spans()
+        assert [s.name for s in spans] == ["honeyfarm_metadata"] * 2
+        assert [s.attrs for s in spans] == [
+            {"month": 3, "nnz": month.enrichment.nnz},
+            {"month": 3, "nnz": month.hits.nnz},
+        ]
 
 
 class TestResponses:
