@@ -57,8 +57,8 @@ _MAX_PATHS = 128
 class EscapeAnalysisRule(ProjectRule):
     """RL015 — objects escaping to pool workers need an escape proof.
 
-    At every ``parallel_map`` submission site (the same detection RL009
-    uses), each non-worker positional argument is classified:
+    At every ``parallel_map``/``parallel_imap`` submission site (the
+    same detection RL009 uses), each non-worker positional argument is classified:
 
     * a **local** (or parameter, or computed expression) is pickled per
       dispatch — the worker gets a copy, mutation cannot alias;
@@ -78,7 +78,8 @@ class EscapeAnalysisRule(ProjectRule):
     scope = "project-wide (flow)"
     doc = (
         "Escape analysis at the pool boundary: every object passed into a "
-        "`parallel_map` submission must be copied (locals are pickled per "
+        "`parallel_map`/`parallel_imap` submission must be copied (locals "
+        "are pickled per "
         "item), provably immutable (a module global nothing in the owning "
         "module mutates), or a registered shared-memory buffer "
         "(`SharedMemory` / `repro.parallel.shm` bindings, resource kind "
@@ -88,7 +89,7 @@ class EscapeAnalysisRule(ProjectRule):
     )
 
     #: Pool entry points whose first positional argument is the worker.
-    _SUBMITTERS = frozenset({"parallel_map"})
+    _SUBMITTERS = frozenset({"parallel_map", "parallel_imap"})
 
     #: Dotted-module prefixes exempt from the boundary check (the pool's
     #: own plumbing and the analysis/observability layers, as in RL009).

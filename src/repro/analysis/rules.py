@@ -553,7 +553,8 @@ class ResortRule(Rule):
 class ForkSafetyRule(ProjectRule):
     """RL009 — callables submitted to the process pool must be fork-safe.
 
-    :func:`repro.parallel.pool.parallel_map` runs its worker in
+    :func:`repro.parallel.pool.parallel_map` and
+    :func:`repro.parallel.pool.parallel_imap` run their worker in
     fork-started children.  A worker (or anything it transitively calls)
     that mutates module globals does so in the *child's* copy — the
     parent never sees the write, which is exactly the kind of silently
@@ -576,7 +577,8 @@ class ForkSafetyRule(ProjectRule):
     description = "pool-submitted callable mutates globals or captures resources"
     scope = "project-wide (flow)"
     doc = (
-        "Fork/pool safety: a function submitted to `parallel_map` — and "
+        "Fork/pool safety: a function submitted to `parallel_map` or "
+        "`parallel_imap` — and "
         "everything it transitively calls — must not mutate module globals, "
         "capture process-local resources (open handles, pools, RNG instances "
         "stored at module level), or be unpicklable (lambdas, nested "
@@ -587,7 +589,7 @@ class ForkSafetyRule(ProjectRule):
     )
 
     #: Pool entry points whose first positional argument is the worker.
-    _SUBMITTERS = frozenset({"parallel_map"})
+    _SUBMITTERS = frozenset({"parallel_map", "parallel_imap"})
 
     #: Dotted-module prefixes whose functions are fork-aware by design.
     _EXEMPT_MODULES = ("repro.obs", "repro.analysis")

@@ -7,7 +7,8 @@ argument is therefore a latent bug — it breaks the moment the map runs
 serially, or appears to work in the parent for the wrong reason.  Rule
 RL009 proves pool-submitted functions *look* pure; this sanitizer checks
 they *are*: every item submitted through
-:func:`repro.parallel.pool.parallel_map` is content-fingerprinted in the
+:func:`repro.parallel.pool.parallel_map` or its streaming sibling
+:func:`repro.parallel.pool.parallel_imap` is content-fingerprinted in the
 parent before dispatch, re-fingerprinted by the worker after the task
 body runs (the hash rides back alongside the result), and a mismatch is
 recorded as an RS003 trap naming the mapped function.  The serial
@@ -23,7 +24,7 @@ sentinel and always compare equal.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -89,6 +90,27 @@ class HashedCall:
         return result, item_digest(item)
 
 
+def _checked_results(
+    paired: Iterable[Any],
+    pre: List[Optional[str]],
+    entry: str,
+    fn: Callable[[Any], Any],
+    site: Any,
+) -> Iterator[Any]:
+    """Unwrap ``(result, post-digest)`` pairs, trapping changed inputs."""
+    fn_name = getattr(fn, "__name__", None) or type(fn).__name__
+    for i, ((result, post), before) in enumerate(zip(paired, pre)):
+        if before != post:
+            record_trap(
+                "fork",
+                f"worker mutated its input (item {i} of a "
+                f"{entry} over {fn_name}); under fork the write "
+                "is silently discarded in the parent",
+                site=site,
+            )
+        yield result
+
+
 def _checked_parallel_map(orig: Callable[..., Any]) -> Callable[..., Any]:
     """Wrap ``parallel_map`` with the two-sided fingerprint protocol."""
 
@@ -99,26 +121,39 @@ def _checked_parallel_map(orig: Callable[..., Any]) -> Callable[..., Any]:
         pre = [item_digest(x) for x in items]
         site = caller_site(skip_extra=("repro/parallel/",))
         paired = orig(HashedCall(fn), items, **kwargs)
-        results = []
-        fn_name = getattr(fn, "__name__", None) or type(fn).__name__
-        for i, ((result, post), before) in enumerate(zip(paired, pre)):
-            if before != post:
-                record_trap(
-                    "fork",
-                    f"worker mutated its input (item {i} of a "
-                    f"parallel_map over {fn_name}); under fork the write "
-                    "is silently discarded in the parent",
-                    site=site,
-                )
-            results.append(result)
-        return results
+        return list(_checked_results(paired, pre, "parallel_map", fn, site))
 
     return parallel_map
+
+
+def _checked_parallel_imap(orig: Callable[..., Any]) -> Callable[..., Any]:
+    """Wrap ``parallel_imap``: same protocol, checked as results stream."""
+
+    def parallel_imap(
+        fn: Callable[[Any], Any], items: Iterable[Any], **kwargs: Any
+    ) -> Iterator[Any]:
+        items = list(items)
+        pre = [item_digest(x) for x in items]
+        site = caller_site(skip_extra=("repro/parallel/",))
+        paired = orig(HashedCall(fn), items, **kwargs)
+        return _checked_results(paired, pre, "parallel_imap", fn, site)
+
+    return parallel_imap
 
 
 def arm() -> Callable[[], None]:
     """Arm the fork sanitizer; returns the undo closure."""
     from ...parallel import pool
 
-    orig = pool.parallel_map
-    return patch_everywhere(orig, _checked_parallel_map(orig))
+    undo_map = patch_everywhere(
+        pool.parallel_map, _checked_parallel_map(pool.parallel_map)
+    )
+    undo_imap = patch_everywhere(
+        pool.parallel_imap, _checked_parallel_imap(pool.parallel_imap)
+    )
+
+    def undo() -> None:
+        undo_imap()
+        undo_map()
+
+    return undo

@@ -53,7 +53,9 @@ _EXEMPT_MODULES = frozenset({"repro.serve.shims"})
 
 #: Pool-submission entry points: these block the caller (or fork under
 #: it) and must never run on the loop thread.
-_POOL_SUBMIT = frozenset({"parallel_map", "get_pool", "apply_async", "map_async"})
+_POOL_SUBMIT = frozenset(
+    {"parallel_map", "parallel_imap", "get_pool", "apply_async", "map_async"}
+)
 
 #: Blocking filesystem / network IO by callee name.
 _BLOCKING_IO = frozenset(

@@ -21,6 +21,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..anonymize import AnonymizationDomain
+from ..hypersparse.merge import sorted_unique
 
 __all__ = ["aggregate_to_prefix", "subnet_overlap", "anonymized_subnet_overlap", "SubnetOverlap"]
 
@@ -36,7 +37,7 @@ def aggregate_to_prefix(addrs: np.ndarray, prefix_len: int) -> np.ndarray:
     a = np.asarray(addrs, dtype=np.uint64)
     if prefix_len == 0:
         return np.zeros(min(a.size, 1), dtype=np.uint64)
-    return np.unique(a >> np.uint64(32 - prefix_len))
+    return sorted_unique(a >> np.uint64(32 - prefix_len))
 
 
 @dataclass(frozen=True)

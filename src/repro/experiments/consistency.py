@@ -25,6 +25,7 @@ import numpy as np
 
 from ..core import CorrelationStudy, overlap_fraction
 from ..fits import bootstrap_temporal_fit, per_source_trajectories
+from ..hypersparse.merge import sorted_unique
 from .common import Check, ascii_table
 
 __all__ = ["run", "ConsistencyResult"]
@@ -126,7 +127,7 @@ def coeval_overlap(study: CorrelationStudy) -> List[Tuple[str, float]]:
 
 def reverse_overlap(study: CorrelationStudy) -> List[Tuple[str, float]]:
     """Each month's sources seen by any telescope sample; 0.0 for none."""
-    all_tel = np.unique(np.concatenate([s.sources() for s in study.samples]))
+    all_tel = sorted_unique(np.concatenate([s.sources() for s in study.samples]))
     return [
         (month.label, overlap_fraction(sources, all_tel))
         for month, sources in zip(study.months, study.monthly_sources)

@@ -115,11 +115,17 @@ def run(study: CorrelationStudy) -> ScalingResult:
 # window's multinomial source counts once (bit-identical to `sample`'s
 # draw — same RNG prefix), writes the per-source spec to memory-mappable
 # .npy files, and expands 2^17-packet *chunks* of the conceptual packet
-# stream in pool workers, each building one sub-matrix.  The sub-matrices
-# fold through a budgeted sharded accumulator that spills ladder levels to
-# disk above REPRO_MEM_BUDGET.  Unique-source counts (the experiment's
-# measurand) are identical to `run`'s because they depend only on the
-# shared multinomial draw, never on per-chunk destination streams.
+# stream in pool workers.  Each worker task expands a contiguous run of
+# chunks totalling 2^20 packets and builds one sub-matrix from them, so
+# the parent folds a few large matrices instead of merging every chunk's
+# (the paper's hierarchical sum, done where the packets are).  The
+# sub-matrices fold as they arrive through a budgeted sharded accumulator
+# that spills ladder levels to disk above REPRO_MEM_BUDGET.  Unique-source
+# counts (the experiment's measurand) are identical to `run`'s because
+# they depend only on the shared multinomial draw, never on per-chunk
+# destination streams; the matrix itself is independent of how chunks are
+# grouped into tasks, because packet counts are integers, which float64
+# sums exactly in any order.
 
 #: Salt of the per-chunk destination RNG streams (distinct from the
 #: window RNG's 0x7E1E5C0 so chunked windows never collide with samples).
@@ -128,9 +134,14 @@ _CHUNK_SALT = 0x0C4C0DE
 #: The month sampled by the sweep (must match `run`).
 _SWEEP_MONTH = 4.55
 
+#: Packets per pool task: each task builds one matrix from this many
+#: packets' worth of consecutive chunks.  Larger tasks mean fewer parent
+#: merges but a larger resident result per worker.
+_TASK_PACKETS = 1 << 20
+
 
 def _chunk_matrix(
-    chunk_index: int,
+    chunks: range,
     *,
     spec_dir: str,
     chunk_size: int,
@@ -141,13 +152,15 @@ def _chunk_matrix(
     darkspace: Tuple[int, int],
     shape: Tuple[int, int],
 ):
-    """Worker: build the traffic sub-matrix of packets [lo, hi) of a window.
+    """Worker: build one traffic sub-matrix from a run of packet chunks.
 
-    The window spec (emitting addresses, cumulative counts, focus data)
-    is memory-mapped from disk, so workers share pages instead of
-    receiving per-chunk copies.  Nothing module-global is written
-    (fork-safety rule RL009); destinations come from a chunk-indexed RNG
-    stream, deterministic regardless of pool width.
+    Chunk ``c`` covers packets ``[c * chunk_size, (c + 1) * chunk_size)``
+    of the window.  The window spec (emitting addresses, cumulative
+    counts, focus data) is memory-mapped from disk, so workers share
+    pages instead of receiving per-task copies.  Nothing module-global is
+    written (fork-safety rule RL009); each chunk's destinations come from
+    a chunk-indexed RNG stream, deterministic regardless of pool width
+    and of how chunks are grouped into tasks.
     """
     from ..hypersparse import HyperSparseMatrix
 
@@ -157,19 +170,25 @@ def _chunk_matrix(
     focused = np.load(root / "focused.npy", mmap_mode="r")
     focus_dst = np.load(root / "focus_dst.npy", mmap_mode="r")
 
-    lo = chunk_index * chunk_size
-    hi = min(lo + chunk_size, total)
-    s0 = int(np.searchsorted(cum, lo, side="right")) - 1
-    s1 = int(np.searchsorted(cum, hi, side="left"))
-    seg_cum = np.clip(np.asarray(cum[s0 : s1 + 1]), lo, hi)
-    cnt = np.diff(seg_cum)
-    src = np.repeat(np.asarray(addresses[s0:s1]), cnt)
-    rng = np.random.default_rng((seed, _CHUNK_SALT, month_key, nv, chunk_index))
-    dst = rng.integers(darkspace[0], darkspace[1], src.size, dtype=np.uint64)
-    fmask = np.repeat(np.asarray(focused[s0:s1]), cnt)
-    if np.any(fmask):
-        dst[fmask] = np.repeat(np.asarray(focus_dst[s0:s1]), cnt)[fmask]
-    return HyperSparseMatrix(src, dst, shape=shape)
+    srcs: List[np.ndarray] = []
+    dsts: List[np.ndarray] = []
+    # lint: allow-loop — iterates the task's chunks, each 2^17 packets
+    for chunk_index in chunks:
+        lo = chunk_index * chunk_size
+        hi = min(lo + chunk_size, total)
+        s0 = int(np.searchsorted(cum, lo, side="right")) - 1
+        s1 = int(np.searchsorted(cum, hi, side="left"))
+        seg_cum = np.clip(np.asarray(cum[s0 : s1 + 1]), lo, hi)
+        cnt = np.diff(seg_cum)
+        src = np.repeat(np.asarray(addresses[s0:s1]), cnt)
+        rng = np.random.default_rng((seed, _CHUNK_SALT, month_key, nv, chunk_index))
+        dst = rng.integers(darkspace[0], darkspace[1], src.size, dtype=np.uint64)
+        fmask = np.repeat(np.asarray(focused[s0:s1]), cnt)
+        if np.any(fmask):
+            dst[fmask] = np.repeat(np.asarray(focus_dst[s0:s1]), cnt)[fmask]
+        srcs.append(src)
+        dsts.append(dst)
+    return HyperSparseMatrix(np.concatenate(srcs), np.concatenate(dsts), shape=shape)
 
 
 def assemble_window(
@@ -185,6 +204,9 @@ def assemble_window(
 ):
     """Assemble one window's traffic matrix chunk-by-chunk under a budget.
 
+    Pool tasks each build one matrix from ``_TASK_PACKETS`` packets'
+    worth of consecutive ``2^log2_chunk``-packet chunks (at least one
+    chunk), and the parent folds them in task order as they arrive.
     Returns the budgeted :class:`~repro.hypersparse.hierarchical
     .HierarchicalMatrix` accumulator holding the window — call
     ``total()`` for an in-RAM matrix or ``collapse_to_disk()`` at scales
@@ -223,6 +245,11 @@ def assemble_window(
     try:
         chunk_size = 1 << log2_chunk
         n_chunks = max(1, -(-total // chunk_size))
+        per_task = max(1, _TASK_PACKETS >> log2_chunk)
+        tasks = [
+            range(lo, min(lo + per_task, n_chunks))
+            for lo in range(0, n_chunks, per_task)
+        ]
         worker = partial(
             _chunk_matrix,
             spec_dir=str(spec_root),
@@ -236,7 +263,7 @@ def assemble_window(
         )
         return sharded_accumulate(
             worker,
-            range(n_chunks),
+            tasks,
             shape=(2**32, 2**32),
             cutoff=cutoff,
             processes=processes,

@@ -17,6 +17,9 @@ operations share:
   ``np.intersect1d`` replacement for canonical operands;
 * :func:`in_sorted` — membership of queries in a sorted unique run, the
   ``np.isin`` replacement for canonical operands;
+* :func:`sorted_unique` — the sorted distinct values of an integer
+  array, the ``np.unique`` replacement that builds canonical runs from
+  arbitrary keys by sorting instead of hashing;
 * :func:`kway_merge` — size-ordered fold of many runs (the
   :meth:`~repro.hypersparse.hierarchical.HierarchicalMatrix.total`
   collapse), always merging the two smallest pending runs so
@@ -41,7 +44,7 @@ from ..analysis.contracts import check_sorted
 from ..obs.metrics import MERGE_FASTPATH_HITS, inc
 from .backend import KERNELS as _K
 
-__all__ = ["merge_combine", "intersect_sorted", "in_sorted", "kway_merge"]
+__all__ = ["merge_combine", "intersect_sorted", "in_sorted", "sorted_unique", "kway_merge"]
 
 Run = Tuple[np.ndarray, np.ndarray]
 
@@ -134,6 +137,24 @@ def in_sorted(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """
     check_sorted(sorted_keys, "in_sorted haystack")
     return _K.in_sorted(sorted_keys, queries)
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array (``np.unique(keys)``).
+
+    Same values, order and dtype as ``np.unique``, computed as one sort
+    plus an adjacent-difference mask.  NumPy 2.x answers a plain
+    ``np.unique`` of integers through a hash table, which on a few
+    million ``uint64`` keys costs tens of times more than the sort.
+    Input of any shape is flattened, as ``np.unique`` does.
+    """
+    out = np.sort(np.asarray(keys), axis=None)
+    if out.size < 2:
+        return out
+    keep = np.empty(out.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
 
 
 def kway_merge(runs: Sequence[Run], op: np.ufunc = np.add) -> Run:

@@ -137,20 +137,29 @@ class ColumnarWriter:
         self.nnz += int(keys.size)
 
     def close(self) -> SpilledRun:
-        """Seal the run: merge columns, patch the header, rename into place."""
+        """Seal the run: merge columns, patch the header, rename into place.
+
+        A failure anywhere on the way (a full disk at the copy or the
+        fsync, say) aborts the writer — both handles closed, both
+        temporaries removed, ``<path>`` untouched — and re-raises.
+        """
         if self._closed:
             raise ValueError(f"writer for {self.path} is closed")
+        try:
+            self._vals_f.close()
+            with open(self._vals_tmp, "rb") as vf:
+                shutil.copyfileobj(vf, self._keys_f)
+            self._keys_f.seek(0)
+            self._keys_f.write(_HEADER.pack(RUN_MAGIC, self.nnz, *self.shape))
+            self._keys_f.flush()
+            os.fsync(self._keys_f.fileno())
+            self._keys_f.close()
+            os.remove(self._vals_tmp)
+            os.replace(self._tmp, self.path)
+        except BaseException:
+            self.abort()
+            raise
         self._closed = True
-        self._vals_f.close()
-        with open(self._vals_tmp, "rb") as vf:
-            shutil.copyfileobj(vf, self._keys_f)
-        self._keys_f.seek(0)
-        self._keys_f.write(_HEADER.pack(RUN_MAGIC, self.nnz, *self.shape))
-        self._keys_f.flush()
-        os.fsync(self._keys_f.fileno())
-        self._keys_f.close()
-        os.remove(self._vals_tmp)
-        os.replace(self._tmp, self.path)
         inc(SHARD_SPILL_BYTES, RUN_HEADER_SIZE + ENTRY_BYTES * self.nnz)
         return SpilledRun(self.path, self.nnz, self.shape)
 
@@ -159,8 +168,11 @@ class ColumnarWriter:
         if self._closed:
             return
         self._closed = True
-        self._keys_f.close()
-        self._vals_f.close()
+        for handle in (self._keys_f, self._vals_f):
+            try:
+                handle.close()
+            except OSError:
+                pass  # buffered bytes of a discarded file
         for leftover in (self._tmp, self._vals_tmp):
             try:
                 os.remove(leftover)

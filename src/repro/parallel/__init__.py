@@ -7,13 +7,21 @@ chunking and a streaming accumulator that builds hierarchical hypersparse
 matrices from packet shards in parallel.
 """
 
-from .pool import configured_processes, cpu_count, get_pool, parallel_map, shutdown_pools
+from .pool import (
+    configured_processes,
+    cpu_count,
+    get_pool,
+    parallel_imap,
+    parallel_map,
+    shutdown_pools,
+)
 from .shard import sharded_accumulate, sum_archive, update_peak_rss
 from .shm import ShmHandle, export_matrix, import_matrix, release, release_all, shm_enabled
 from .streaming import parallel_accumulate, shard_packets
 
 __all__ = [
     "parallel_map",
+    "parallel_imap",
     "cpu_count",
     "configured_processes",
     "get_pool",

@@ -5,7 +5,10 @@ with a process pool, preserving order, degrading gracefully to serial
 execution for small inputs (pool startup dwarfs the work) or when
 ``processes=1``.  Serial fallback keeps tests deterministic and makes the
 parallel path an optimization, never a semantic change — asserted by the
-test suite, which runs every consumer both ways.
+test suite, which runs every consumer both ways.  ``parallel_imap`` is
+its streaming sibling: results come back one at a time, in item order,
+with a bounded number of tasks in flight, so a consumer can fold each
+result while the workers build the next ones.
 
 Pools are **persistent**: the first parallel call pays the worker
 startup cost, every later call of the same width reuses the warm pool
@@ -21,9 +24,10 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import os
+from collections import deque
 from multiprocessing import resource_tracker
 from multiprocessing.pool import Pool
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar, cast
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TypeVar, cast
 
 from ..analysis.knobs import env_int
 from ..obs.spans import TimedCall, annotate, record_span, span, trace_epoch, tracing_enabled
@@ -34,8 +38,10 @@ R = TypeVar("R")
 
 __all__ = [
     "parallel_map",
+    "parallel_imap",
     "cpu_count",
     "configured_processes",
+    "pool_width",
     "get_pool",
     "shutdown_pools",
 ]
@@ -70,6 +76,19 @@ def configured_processes() -> Optional[int]:
     if n is not None and n < 0:
         raise ValueError(f"{_ENV_PROCESSES} must be >= 0, got {n}")
     return n
+
+
+def pool_width(processes: Optional[int] = None) -> int:
+    """The worker count a dispatch uses; ``<= 1`` means serial.
+
+    ``processes`` when given, else ``REPRO_PROCESSES`` (where ``0``
+    forces serial), else :func:`cpu_count`.  Every dispatcher resolves
+    its width here, so batch sizing and dispatch never disagree.
+    """
+    if processes is not None:
+        return processes
+    env_n = configured_processes()
+    return cpu_count() if env_n is None else env_n
 
 
 def _context() -> mp.context.BaseContext:
@@ -173,11 +192,7 @@ def parallel_map(
     items = list(items)
     if not items:
         return []
-    if processes is not None:
-        n_proc = processes
-    else:
-        env_n = configured_processes()
-        n_proc = cpu_count() if env_n is None else env_n
+    n_proc = pool_width(processes)
     if n_proc <= 1 or len(items) < min_parallel:
         with span("parallel_map", mode="serial"):
             annotate(items=len(items))
@@ -225,3 +240,69 @@ def parallel_map(
     finally:
         for handle in handles:
             shm.release(handle)
+
+
+def parallel_imap(
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    *,
+    processes: Optional[int] = None,
+    wave: Optional[int] = None,
+) -> Iterator[R]:
+    """Yield ``fn(item)`` for each item, in item order, as they arrive.
+
+    A generator: at most ``wave`` tasks (default: the pool width) are
+    outstanding — submitted and not yet yielded — at any moment, so a
+    consumer that folds each result before asking for the next holds at
+    most one un-folded result per worker while the pool builds the rest.
+    The width resolves like :func:`parallel_map`'s (``REPRO_PROCESSES=0``
+    or ``processes=1`` forces serial); the serial path, also taken for a
+    single item, calls ``fn`` lazily, one item per ``next()``.  Under
+    tracing each pooled task is re-ingested as a ``pool_task`` span of
+    the consumer's current span.
+
+    However the stream ends — exhausted, closed early by the consumer,
+    or raising a worker's exception — every submitted task has finished
+    before control returns, so no task outlives the inputs (spec files,
+    spill directories) its caller is about to delete.
+    """
+    items = list(items)
+    n_proc = pool_width(processes)
+    if wave is None:
+        wave = max(n_proc, 1)
+    if wave <= 0:
+        raise ValueError("wave must be positive")
+    if n_proc <= 1 or len(items) < 2:
+        for x in items:
+            yield fn(x)
+        return
+    pool = get_pool(n_proc)
+    timed = tracing_enabled()
+    fork = _context().get_start_method() == "fork"
+    call: Callable = TimedCall(fn) if timed else fn
+    pending: deque = deque()
+
+    def collect(handle) -> R:
+        out = handle.get()
+        if not timed:
+            return cast("R", out)
+        result, (t0_abs, wall_s, cpu_s) = out
+        record_span(
+            "pool_task",
+            wall_s,
+            cpu_s,
+            t_start=(t0_abs - trace_epoch()) if fork else None,
+        )
+        return cast("R", result)
+
+    try:
+        for x in items:
+            if len(pending) == wave:
+                yield collect(pending.popleft())
+            pending.append(pool.apply_async(call, (x,)))
+        while pending:
+            yield collect(pending.popleft())
+    finally:
+        if _pools.get(n_proc) is pool:  # a shut-down pool finishes nothing
+            for handle in pending:
+                handle.wait()

@@ -11,11 +11,12 @@ results fold in deterministic item order into a **budgeted**
 beyond the ``REPRO_MEM_BUDGET`` ceiling spill to columnar run files
 (:mod:`repro.hypersparse.spill`).
 
-Work is dispatched in bounded *waves* so at most one wave of un-folded
-worker results is resident at a time — without the waves, a 2^13-item
-map would materialize every sub-matrix before the first fold.  The fold
-order depends only on the item order (never on worker count or
-completion order), so results are reproducible across pool widths, and
+Results stream back through :func:`~repro.parallel.pool.parallel_imap`
+and fold as they arrive, with at most ``wave`` (default: one per worker)
+un-folded results resident at a time — a plain map over 2^13 items would
+materialize every sub-matrix before the first fold.  The fold order
+depends only on the item order (never on worker count or completion
+order), so results are reproducible across pool widths, and
 bit-identical between the budgeted and unbudgeted paths (the ladder's
 merge tree is residence-independent; see ``docs/PERFORMANCE.md``).
 """
@@ -30,7 +31,7 @@ from ..hypersparse import HierarchicalMatrix, HyperSparseMatrix
 from ..hypersparse.spill import SpillStore
 from ..obs.metrics import PEAK_RSS_BYTES, set_gauge
 from ..obs.spans import annotate, span
-from .pool import cpu_count, parallel_map
+from .pool import parallel_imap, pool_width
 
 __all__ = ["sharded_accumulate", "sum_archive", "update_peak_rss"]
 
@@ -59,11 +60,12 @@ def sharded_accumulate(
 
     ``worker`` is a picklable callable returning one
     :class:`~repro.hypersparse.coo.HyperSparseMatrix` per item.  Items
-    are dispatched in waves of ``wave`` (default: four pool widths) via
-    :func:`~repro.parallel.pool.parallel_map`; each wave's results are
-    folded *in item order* into the returned accumulator, so the merge
-    tree — and therefore the float bit pattern — is independent of the
-    worker count and of completion order.
+    stream through :func:`~repro.parallel.pool.parallel_imap` with at
+    most ``wave`` un-folded results outstanding (default: the pool
+    width, so one per worker); each result is folded *in item order*
+    into the returned accumulator as it arrives, so the merge tree — and
+    therefore the float bit pattern — is independent of the worker count
+    and of completion order.
 
     Returns the :class:`HierarchicalMatrix` so the caller chooses the
     finalization: :meth:`~repro.hypersparse.hierarchical
@@ -73,8 +75,7 @@ def sharded_accumulate(
     """
     items = list(items)
     if wave is None:
-        width = processes if processes is not None else cpu_count()
-        wave = max(4 * max(width, 1), 16)
+        wave = max(pool_width(processes), 1)
     if wave <= 0:
         raise ValueError("wave must be positive")
     acc = HierarchicalMatrix(
@@ -82,13 +83,9 @@ def sharded_accumulate(
     )
     with span("sharded_accumulate"):
         annotate(items=len(items), wave=wave)
-        # lint: allow-loop — iterates O(items / wave) dispatch waves
-        for lo in range(0, len(items), wave):
-            results = parallel_map(
-                worker, items[lo : lo + wave], processes=processes
-            )
-            for matrix in results:
-                acc.insert_matrix(matrix)
+        # lint: allow-loop — iterates work items, each a whole sub-matrix
+        for matrix in parallel_imap(worker, items, processes=processes, wave=wave):
+            acc.insert_matrix(matrix)
             update_peak_rss()
     return acc
 

@@ -33,6 +33,7 @@ import numpy as np
 from ..core.correlation import PeakCorrelation, overlap_fraction, peak_correlation
 from ..fits.fitting import FitResult, fit_temporal
 from ..hypersparse.coo import SparseVec
+from ..hypersparse.merge import sorted_unique
 from ..obs.metrics import (
     SERVE_BATCHES_FOLDED,
     SERVE_WINDOWS_CLOSED,
@@ -195,7 +196,7 @@ class CorrelationEngine:
         """Fold one honeyfarm month: its time and observed source set."""
         self._ensure_open()
         with self._lock:
-            uniq = np.unique(np.asarray(sources).astype(np.uint64))
+            uniq = sorted_unique(np.asarray(sources).astype(np.uint64))
             self._months.append((float(time), uniq))
             self._months.sort(key=lambda m: m[0])
 

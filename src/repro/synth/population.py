@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..hypersparse.merge import sorted_unique
 from ..ip import cidr_to_range
 from ..rand import hash_bernoulli, hash_uniform
 from ..stats.zipf import ZipfMandelbrot
@@ -215,8 +216,8 @@ class SourcePopulation:
             batch = rng.integers(0, 2**32, 2 * (count - out.size) + 64, dtype=np.uint64)
             for lo, hi in excluded:
                 batch = batch[(batch < np.uint64(lo)) | (batch >= np.uint64(hi))]
-            out = np.unique(np.concatenate([out, batch]))
-        # unique() sorted them; shuffle so slices are unbiased.
+            out = sorted_unique(np.concatenate([out, batch]))
+        # sorted_unique() sorted them; shuffle so slices are unbiased.
         rng.shuffle(out)
         return out[:count]
 

@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ..hypersparse.merge import sorted_unique
 from .packet import Packets
 
 __all__ = [
@@ -108,7 +109,7 @@ def time_between(t0: float, t1: float) -> PacketFilter:
 def exclude_sources(sources: Sequence[int]) -> PacketFilter:
     """Drop packets from the given source addresses (e.g. known-legitimate
     senders misdirected into the darkspace)."""
-    banned = np.unique(np.asarray(list(sources), dtype=np.uint64))
+    banned = sorted_unique(np.asarray(sources, dtype=np.uint64))
     return PacketFilter(
         lambda p: ~np.isin(p.src, banned), f"exclude_sources[{banned.size}]"
     )

@@ -13,6 +13,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..hypersparse.merge import sorted_unique
+
 __all__ = ["Packets", "PROTO_TCP", "PROTO_UDP", "PROTO_ICMP"]
 
 #: IANA protocol numbers for the protocols the simulators emit.
@@ -125,8 +127,8 @@ class Packets:
 
     def unique_sources(self) -> np.ndarray:
         """Sorted unique source addresses."""
-        return np.unique(self.src)
+        return sorted_unique(self.src)
 
     def unique_destinations(self) -> np.ndarray:
         """Sorted unique destination addresses."""
-        return np.unique(self.dst)
+        return sorted_unique(self.dst)

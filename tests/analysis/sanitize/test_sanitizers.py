@@ -103,6 +103,31 @@ class TestForkSanitizer:
         assert out == [1, 2, 3, 4]
         assert take_traps() == []
 
+    def test_traps_mutation_through_streaming_map(self):
+        # parallel_imap (the sharded accumulator's dispatch) is checked
+        # with the same fingerprints; the write lands in a forked worker.
+        from repro.hypersparse.coo import SparseVec
+        from repro.parallel import pool
+
+        vecs = [
+            SparseVec(np.array([1, 2, 3], dtype=np.uint64), np.ones(3))
+            for _ in range(4)
+        ]
+        with sanitizers(["fork"]):
+            out = list(pool.parallel_imap(probes._mutating_worker, vecs, processes=2))
+        assert out == [4.0] * 4  # each worker saw its own bumped copy
+        by_rule = traps_by_rule()
+        assert "RS003" in by_rule
+        assert "parallel_imap" in by_rule["RS003"][0].message
+
+    def test_streaming_map_silent_on_well_behaved_workers(self):
+        from repro.parallel import pool
+
+        with sanitizers(["fork"]):
+            out = list(pool.parallel_imap(abs, [-1, 2, -3, 4], processes=2))
+        assert out == [1, 2, 3, 4]
+        assert take_traps() == []
+
 
 class TestFloatSanitizer:
     def test_traps_nan_escaping_fit(self):

@@ -254,6 +254,36 @@ class TestForkSafety:
         for f in self.findings():
             assert "parallel_map" in source[f.line - 1]
 
+    def test_streaming_submitter_flagged(self, tmp_path):
+        # parallel_imap forks its workers exactly like parallel_map, so a
+        # global-writing worker handed to it must be flagged too.
+        pkg = tmp_path / "repro" / "parallel"
+        pkg.mkdir(parents=True)
+        (pkg / "pool.py").write_text(
+            '"""Stub pool."""\n\n__all__ = ["parallel_imap"]\n\n\n'
+            "def parallel_imap(fn, items):\n"
+            '    """Stand-in for the streaming pool map."""\n'
+            "    return (fn(item) for item in items)\n"
+        )
+        (pkg / "stream_fork.py").write_text(
+            '"""Streams a global-writing worker."""\n\n'
+            "from .pool import parallel_imap\n\n"
+            '__all__ = ["submit"]\n\n_SEEN = []\n\n\n'
+            "def _recording_worker(x):\n"
+            '    """Mutates a module global."""\n'
+            "    _SEEN.append(x)\n"
+            "    return x\n\n\n"
+            "def submit(items):\n"
+            '    """Fold streamed results."""\n'
+            "    return sum(parallel_imap(_recording_worker, items))\n"
+        )
+        result = lint_paths(
+            [pkg / "pool.py", pkg / "stream_fork.py"], [rule_by_id("RL009")]
+        )
+        assert not result.errors, result.errors
+        [finding] = result.findings
+        assert "_recording_worker" in finding.message and "_SEEN" in finding.message
+
     def test_real_tree_clean(self):
         result = lint_paths([SRC_REPRO], [rule_by_id("RL009")])
         assert result.findings == []

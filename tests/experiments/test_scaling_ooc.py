@@ -94,6 +94,47 @@ class TestAssembleWindow:
         assert np.array_equal(got.keys, ref.keys)
         assert np.array_equal(got.vals.view(np.uint64), ref.vals.view(np.uint64))
 
+    @staticmethod
+    def grouped(telescope, monkeypatch, log2_task, processes, budget=None, spill_dir=None):
+        """A 2^12-packet window of 2^8-packet chunks, 2^log2_task per task."""
+        monkeypatch.setattr(scaling, "_TASK_PACKETS", 1 << log2_task)
+        acc = scaling.assemble_window(
+            telescope,
+            4.55,
+            n_valid=1 << 12,
+            log2_chunk=8,
+            cutoff=256,
+            processes=processes,
+            mem_budget=budget,
+            spill_dir=spill_dir,
+        )
+        try:
+            return acc.total(), acc.spilled_levels
+        finally:
+            acc.close()
+
+    def test_pooled_tasks_bit_identical_to_serial(self, telescope, monkeypatch):
+        serial, _ = self.grouped(telescope, monkeypatch, 10, processes=1)
+        pooled, _ = self.grouped(telescope, monkeypatch, 10, processes=2)
+        assert serial.vals.sum() > 3 * (1 << 10), "fewer than four tasks"
+        assert np.array_equal(pooled.keys, serial.keys)
+        assert np.array_equal(pooled.vals.view(np.uint64), serial.vals.view(np.uint64))
+
+    @pytest.mark.parametrize("budget", [None, 8 << 10])
+    def test_grouping_bit_identical_to_per_chunk_tasks(
+        self, telescope, monkeypatch, tmp_path, budget
+    ):
+        # One task per chunk is the per-chunk assembly; grouping chunks
+        # into larger tasks changes only how the integer counts associate.
+        ref, _ = self.grouped(telescope, monkeypatch, 8, processes=1)
+        got, spills = self.grouped(
+            telescope, monkeypatch, 10, processes=2, budget=budget, spill_dir=tmp_path / "g"
+        )
+        if budget is not None:
+            assert spills > 0, "budget never engaged; test is vacuous"
+        assert np.array_equal(got.keys, ref.keys)
+        assert np.array_equal(got.vals.view(np.uint64), ref.vals.view(np.uint64))
+
     def test_source_marginal_matches_sample(self, telescope):
         # The assembled window's per-source packet counts must equal the
         # full sample's: both derive from the same multinomial RNG prefix,

@@ -10,10 +10,18 @@ seeded and order-independent.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.contracts import debug_invariants
 from repro.hypersparse import HierarchicalMatrix, HyperSparseMatrix
-from repro.hypersparse.merge import in_sorted, intersect_sorted, kway_merge, merge_combine
+from repro.hypersparse.merge import (
+    in_sorted,
+    intersect_sorted,
+    kway_merge,
+    merge_combine,
+    sorted_unique,
+)
 from repro.rand import hash_u64, hash_uniform
 
 SPACE = 10_000
@@ -154,6 +162,47 @@ class TestIntersectAndMembership:
         assert np.array_equal(in_sorted(ka, kb), np.isin(kb, ka, assume_unique=True))
         # Unsorted queries are allowed.
         assert np.array_equal(in_sorted(ka, kb[::-1]), np.isin(kb[::-1], ka))
+
+
+_U64_MAX = 2**64 - 1
+
+#: uint64 draws: full range, a small value pool (many repeats) and the
+#: top of the range, where a signed or float detour would wrap or round.
+_u64_arrays = st.one_of(
+    st.lists(st.integers(0, _U64_MAX), max_size=200),
+    st.lists(st.integers(0, 7), max_size=200),
+    st.lists(st.integers(_U64_MAX - 16, _U64_MAX), max_size=200),
+).map(lambda xs: np.asarray(xs, dtype=np.uint64))
+
+
+class TestSortedUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(_u64_arrays)
+    def test_matches_np_unique(self, keys):
+        got = sorted_unique(keys)
+        want = np.unique(keys)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.zeros(0, dtype=np.uint64),
+            np.full(9, 5, dtype=np.uint64),
+            np.array([_U64_MAX, 0, _U64_MAX, _U64_MAX - 1], dtype=np.uint64),
+            hash_u64(3, np.arange(5000, dtype=np.uint64)) % np.uint64(1000),
+        ],
+        ids=["empty", "all_equal", "near_max", "random"],
+    )
+    def test_edge_cases(self, keys):
+        got = sorted_unique(keys)
+        assert got.dtype == keys.dtype
+        assert np.array_equal(got, np.unique(keys))
+
+    def test_does_not_modify_input(self):
+        keys = np.array([3, 1, 3, 2], dtype=np.uint64)
+        sorted_unique(keys)
+        assert keys.tolist() == [3, 1, 3, 2]
 
 
 class TestKwayMerge:

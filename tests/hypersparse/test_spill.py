@@ -140,6 +140,34 @@ class TestWriterLifecycle:
                 raise RuntimeError("boom")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("managed", [False, True])
+    def test_failed_close_removes_temporaries(self, tmp_path, monkeypatch, managed):
+        # A close() that fails mid-seal (here: fsync on a full disk) must
+        # release both handles and both temporaries, and never create the
+        # target — whether or not a ``with`` block is there to abort.
+        import errno
+
+        from repro.hypersparse import spill
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(spill.os, "fsync", full_disk)
+        target = tmp_path / "full.col"
+        w = ColumnarWriter(target, SHAPE)
+        keys, vals = make_run(29, 50)
+        w.append(keys, vals)
+        with pytest.raises(OSError, match="No space"):
+            if managed:
+                with w:
+                    w.close()
+            else:
+                w.close()
+        assert list(tmp_path.iterdir()) == []
+        assert w._keys_f.closed and w._vals_f.closed
+        with pytest.raises(ValueError, match="closed"):
+            w.close()
+
     def test_append_after_close_rejected(self, tmp_path):
         with ColumnarWriter(tmp_path / "seal.col", SHAPE) as w:
             run = w.close()

@@ -108,6 +108,20 @@ class TestShardedAccumulate:
                 chunk_matrix, self.ITEMS, shape=SHAPE, cutoff=256, wave=0
             )
 
+    def test_default_wave_follows_repro_processes(self, monkeypatch):
+        # The stream is sized by the same width the dispatch uses, so
+        # REPRO_PROCESSES sets both.  One item keeps the run serial.
+        from repro.obs.spans import take_spans, tracing
+
+        monkeypatch.setenv("REPRO_PROCESSES", "3")
+        with tracing(True):
+            take_spans()
+            acc = sharded_accumulate(chunk_matrix, [0], shape=SHAPE, cutoff=256)
+            acc.close()
+            spans = take_spans()
+        [shard_span] = [s for s in spans if s.name == "sharded_accumulate"]
+        assert shard_span.attrs["wave"] == 3
+
     def test_peak_rss_gauge_updates(self):
         was = metrics_enabled()
         enable_metrics(True)
