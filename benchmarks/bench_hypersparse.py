@@ -84,6 +84,35 @@ def test_ewise_add(benchmark, window_matrix):
     assert out.total() == 2 * window_matrix.total()
 
 
+@pytest.fixture(scope="module")
+def sliding_windows(batches):
+    """Two distinct 2^20-packet windows that share half their batches."""
+    per_window = N_BATCHES // 2
+
+    def window(part):
+        src = np.concatenate([s for s, _ in part])
+        dst = np.concatenate([d for _, d in part])
+        return HyperSparseMatrix(src, dst, shape=SPACE)
+
+    return (
+        window(batches[:per_window]),
+        window(batches[per_window // 2 : per_window // 2 + per_window]),
+    )
+
+
+def test_ewise_add_two_windows(benchmark, sliding_windows):
+    """Sum two distinct windows through the two-run merge kernel.
+
+    ``test_ewise_add`` adds a window to itself, which takes the
+    identical-keys shortcut and never reaches the kernel; here half the
+    keys match and half pass through from one side.
+    """
+    a, b = sliding_windows
+    out = benchmark(a.ewise_add, b)
+    assert out.total() == a.total() + b.total()
+    assert a.nnz < out.nnz < a.nnz + b.nnz
+
+
 def test_zero_norm(benchmark, window_matrix):
     out = benchmark(window_matrix.zero_norm)
     assert out.nnz == window_matrix.nnz

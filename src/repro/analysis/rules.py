@@ -506,10 +506,14 @@ class ResortRule(Rule):
     ``np.lexsort`` over data that is already one-or-two canonical runs
     throws that invariant away and buys it back at ``O(n log n)`` — the
     exact cost :mod:`repro.hypersparse.merge` exists to avoid.  The
-    sanctioned full-sort sites (canonicalization of arbitrary triples at
+    sanctioned sort sites (canonicalization of arbitrary triples at
     construction, transpose, cross-axis reductions) carry
-    ``# lint: allow-resort`` with a justification.  The patrolled
-    package list is ``[tool.repro-lint] canonical-scope``.
+    ``# lint: allow-resort`` with a justification.  So does the one
+    sort over canonical runs: the two-run merge kernel
+    ``merge_general`` in the numpy reference backend, whose stable
+    argsort of ``a`` then ``b`` is a timsort that merges the two runs in
+    linear time.  The patrolled package list is
+    ``[tool.repro-lint] canonical-scope``.
     """
 
     id = "RL008"
@@ -523,7 +527,10 @@ class ResortRule(Rule):
         "`repro.hypersparse.merge` (see [PERFORMANCE.md](PERFORMANCE.md)); a "
         "full sort is justified only where the input really is arbitrary "
         "(construction from raw triples, transpose, `mxm` product streams), "
-        "and each such site carries `# lint: allow-resort`."
+        "and each such site carries `# lint: allow-resort`.  The one sort "
+        "over canonical runs is the two-run merge kernel `merge_general` in "
+        "`backend/reference.py`: its stable argsort of `a` then `b` is a "
+        "timsort that merges the two runs in linear time."
     )
 
     _SORTERS = ("argsort", "lexsort")

@@ -26,6 +26,7 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
+from ..hypersparse.merge import sorted_unique
 from .cryptopan import CryptoPan
 
 __all__ = [
@@ -89,7 +90,7 @@ class AnonymizationDomain:
     ) -> Dict[int, int]:
         """Mode 3 service: mapping from this domain's anonymized keys to the
         common scheme, for the requested key set."""
-        anon = np.unique(np.asarray(anon))
+        anon = sorted_unique(anon)
         rekeyed = self.reanonymize_to(anon, common)
         return {int(a): int(c) for a, c in zip(anon, rekeyed)}
 
@@ -144,8 +145,8 @@ def correlate_anonymized(
     addresses in those modes).  This is the cross-domain primitive under
     every correlation figure in the paper.
     """
-    anon_a = np.unique(np.asarray(anon_a))
-    anon_b = np.unique(np.asarray(anon_b))
+    anon_a = sorted_unique(anon_a)
+    anon_b = sorted_unique(anon_b)
     if mode == 1:
         plain_a = share_mode1_return_to_source(domain_a, anon_a)
         plain_b = share_mode1_return_to_source(domain_b, anon_b)

@@ -33,7 +33,7 @@ import numpy as np
 from ..analysis.contracts import check_matrix, check_vector
 from ..obs.metrics import MERGE_FASTPATH_MISSES, inc
 from .backend import KERNELS as _K
-from .merge import merge_combine
+from .merge import merge_combine, sorted_unique
 from .semiring import PLUS_TIMES, Semiring
 
 __all__ = ["HyperSparseMatrix", "SparseVec", "IPV4_SPACE"]
@@ -271,7 +271,7 @@ class SparseVec:
 
     def select_keys(self, keys: ArrayLike) -> "SparseVec":
         """Restrict to the given key set (sparse intersection)."""
-        want = np.unique(_as_u64(keys))
+        want = sorted_unique(_as_u64(keys))
         common, ia, _ = _K.intersect_sorted(self.keys, want)
         out = SparseVec.__new__(SparseVec)
         out.keys = common
@@ -787,10 +787,10 @@ class HyperSparseMatrix:
         """
         mask = np.ones(self.nnz, dtype=bool)
         if rows is not None:
-            want = np.unique(_as_u64(rows))
+            want = sorted_unique(_as_u64(rows))
             mask &= _K.in_sorted(want, self.rows)
         if cols is not None:
-            want = np.unique(_as_u64(cols))
+            want = sorted_unique(_as_u64(cols))
             mask &= _K.in_sorted(want, self.cols)
         return self._masked(mask)
 

@@ -10,9 +10,10 @@ them throws the invariant away.  This module is the fast path those
 operations share:
 
 * :func:`merge_combine` — union-combine two canonical runs in
-  ``O(m + n)`` output work plus one ``searchsorted`` of the *smaller*
-  run into the larger (``O(min·log max)``), with no argsort and an
-  ``O(n)`` short-circuit when both runs have identical keys;
+  ``O(m + n)``: one stable argsort of ``a`` then ``b``, which for
+  64-bit keys is a timsort that finds the two sorted runs and merges
+  them by galloping in linear time, then gathers through the permutation;
+  with an ``O(n)`` short-circuit when both runs have identical keys;
 * :func:`intersect_sorted` — sorted-run intersection with indices, the
   ``np.intersect1d`` replacement for canonical operands;
 * :func:`in_sorted` — membership of queries in a sorted unique run, the
@@ -26,7 +27,7 @@ operations share:
   intermediate results stay as small as possible.
 
 The kernels are exact: for any inputs they produce bit-identical keys
-and values to the argsort path they replace (property-tested in
+and values to the stable-argsort + ``reduceat`` path (property-tested in
 ``tests/hypersparse/test_merge.py``).  Uses of the fast path are counted
 by the ``merge_fastpath_hits`` counter; full argsort canonicalizations
 (construction from arbitrary triples) count ``merge_fastpath_misses`` —

@@ -132,8 +132,9 @@ class ColumnarWriter:
             raise ValueError("keys and vals must have identical size")
         if keys.size == 0:
             return
-        self._keys_f.write(np.ascontiguousarray(keys, dtype="<u8").tobytes())
-        self._vals_f.write(np.ascontiguousarray(vals, dtype="<f8").tobytes())
+        # The buffer protocol writes the columns without a bytes copy.
+        self._keys_f.write(np.ascontiguousarray(keys, dtype="<u8").data)
+        self._vals_f.write(np.ascontiguousarray(vals, dtype="<f8").data)
         self.nnz += int(keys.size)
 
     def close(self) -> SpilledRun:

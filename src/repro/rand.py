@@ -34,13 +34,18 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer applied element-wise to uint64 input.
 
     Wraparound multiplication is the point of the mixer; the errstate guard
-    silences NumPy's scalar-overflow warning on 0-d inputs.
+    silences NumPy's scalar-overflow warning on 0-d inputs.  The first step
+    allocates the output and every later step works on it in place, so the
+    caller's array is never written.
     """
     with np.errstate(over="ignore"):
-        x = (np.asarray(x, dtype=np.uint64) + _GOLDEN).astype(np.uint64)
-        x = ((x ^ (x >> np.uint64(30))) * _MIX1).astype(np.uint64)
-        x = ((x ^ (x >> np.uint64(27))) * _MIX2).astype(np.uint64)
-        return (x ^ (x >> np.uint64(31))).astype(np.uint64)
+        z = np.add(np.asarray(x, dtype=np.uint64), _GOLDEN)
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def hash_u64(seed: int, *coords) -> np.ndarray:

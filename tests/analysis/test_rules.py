@@ -214,6 +214,23 @@ class TestResort:
         result = lint_paths([SRC_REPRO / "hypersparse"], [rule_by_id("RL008")])
         assert result.findings == []
 
+    def test_two_run_merge_sort_is_flagged_without_its_marker(self, tmp_path):
+        # The merge kernel's argsort passes only through its allow-resort
+        # marker: strip the marker and RL008 flags exactly that call.
+        source = (SRC_REPRO / "hypersparse/backend/reference.py").read_text()
+        marked = [line for line in source.splitlines() if "allow-resort" in line]
+        assert any("two runs" in line for line in marked)
+        stripped = "\n".join(
+            line.split("  # lint: allow-resort")[0] if "two runs" in line else line
+            for line in source.splitlines()
+        )
+        copy = tmp_path / "repro/hypersparse/backend/reference.py"
+        copy.parent.mkdir(parents=True)
+        copy.write_text(stripped)
+        findings = lint_paths([copy], [rule_by_id("RL008")]).findings
+        assert len(findings) == 1
+        assert "argsort" in findings[0].message
+
 
 class TestForkSafety:
     FILES = ("repro/parallel/pool.py", "repro/parallel/bad_fork.py")

@@ -22,6 +22,7 @@ from repro.hypersparse.merge import (
     merge_combine,
     sorted_unique,
 )
+from repro.hypersparse.spill import ColumnarWriter, load_run, merge_runs_streamed
 from repro.rand import hash_u64, hash_uniform
 
 SPACE = 10_000
@@ -141,6 +142,143 @@ class TestMergeCombine:
         empty_v = np.zeros(0, dtype=np.float64)
         keys, vals = merge_combine(ka, va, empty_k, empty_v, np.add)
         assert keys is ka and vals is va
+
+
+def reference_merge(ka, va, kb, vb, op, right_op=None):
+    """The argsort path, with ``right_op`` applied to b-exclusive values first."""
+    if right_op is not None:
+        vb = vb.copy()
+        b_only = ~np.isin(kb, ka)
+        vb[b_only] = right_op(vb[b_only])
+    return reference_union(ka, va, kb, vb, op)
+
+
+def bits(vals):
+    """Float values as raw bit patterns, so NaN and -0.0 compare exactly."""
+    return np.ascontiguousarray(vals, dtype=np.float64).view(np.uint64)
+
+
+def assert_bit_identical(got, want):
+    assert got[0].dtype == want[0].dtype == np.uint64
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(bits(got[1]), bits(want[1]))
+
+
+#: (|a|, |b|) size pairs: the kernel takes the two runs in operand order
+#: whatever their sizes, so every ordering of sizes is pinned.
+SIZES = [(2000, 37), (37, 2000), (500, 500)]
+NON_COMMUTATIVE = [np.subtract, np.divide, np.arctan2]
+
+
+class TestTwoRunKernel:
+    """The stable two-run sort kernel behind ``merge_combine``."""
+
+    @pytest.mark.parametrize("na,nb", SIZES)
+    @pytest.mark.parametrize("op", NON_COMMUTATIVE, ids=lambda f: f.__name__)
+    def test_non_commutative_op(self, na, nb, op):
+        ka, va = make_run(41, na, integral=False)
+        kb, vb = make_run(43, nb, integral=False)
+        with np.errstate(all="ignore"):
+            got = merge_combine(ka, va, kb, vb, op)
+            want = reference_union(ka, va, kb, vb, op)
+        assert_bit_identical(got, want)
+
+    @pytest.mark.parametrize("na,nb", SIZES)
+    @pytest.mark.parametrize("op", [np.subtract, np.divide, np.add], ids=lambda f: f.__name__)
+    def test_right_op(self, na, nb, op):
+        ka, va = make_run(47, na, integral=False)
+        kb, vb = make_run(53, nb, integral=False)
+        with np.errstate(all="ignore"):
+            got = merge_combine(ka, va, kb, vb, op, right_op=np.negative)
+            want = reference_merge(ka, va, kb, vb, op, np.negative)
+        assert_bit_identical(got, want)
+
+    @pytest.mark.parametrize("drop", ["a", "b"])
+    def test_full_overlap_but_one_key(self, drop):
+        # Every key matches except one, so almost every entry pairs up
+        # and exactly one passes through from the larger run.
+        keys, _ = make_run(59, 400)
+        ka, kb = (keys[1:], keys) if drop == "a" else (keys, np.delete(keys, 7))
+        va = hash_uniform(61, ka)
+        vb = hash_uniform(67, kb)
+        for op, right_op in [(np.subtract, None), (np.subtract, np.negative), (np.add, None)]:
+            got = merge_combine(ka, va, kb, vb, op, right_op=right_op)
+            want = reference_merge(ka, va, kb, vb, op, right_op)
+            assert_bit_identical(got, want)
+            assert got[0].size == keys.size
+
+    @pytest.mark.parametrize(
+        "ka,kb",
+        [([5], [5]), ([5], [9]), ([9], [5]), ([5], [1, 5, 9]), ([1, 5, 9], [9])],
+        ids=["match", "a-first", "b-first", "one-in-many", "many-one"],
+    )
+    def test_one_element_runs(self, ka, kb):
+        ka = np.array(ka, dtype=np.uint64)
+        kb = np.array(kb, dtype=np.uint64)
+        va = np.arange(1.0, ka.size + 1.0)
+        vb = -np.arange(10.0, kb.size + 10.0)
+        for right_op in (None, np.negative):
+            got = merge_combine(ka, va, kb, vb, np.subtract, right_op=right_op)
+            want = reference_merge(ka, va, kb, vb, np.subtract, right_op)
+            assert_bit_identical(got, want)
+
+    @pytest.mark.parametrize(
+        "op", [np.add, np.subtract, np.maximum, np.minimum], ids=lambda f: f.__name__
+    )
+    def test_signed_zeros_infinities_and_nan(self, op):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.5])
+        # Every special value meets every other one on a shared key, and
+        # each also passes through unmatched on an exclusive key.
+        pairs = np.array([(x, y) for x in special for y in special])
+        n = pairs.shape[0]
+        ka = np.arange(0, 2 * n, 2, dtype=np.uint64)
+        extra = np.arange(2 * n + 1, 2 * n + 1 + 2 * special.size, 2, dtype=np.uint64)
+        kb = np.concatenate([ka, extra])
+        va = pairs[:, 0].copy()
+        vb = np.concatenate([pairs[:, 1], special])
+        with np.errstate(invalid="ignore"):
+            for right_op in (None, np.negative):
+                got = merge_combine(ka, va, kb, vb, op, right_op=right_op)
+                want = reference_merge(ka, va, kb, vb, op, right_op)
+                assert_bit_identical(got, want)
+
+    def test_inputs_untouched(self):
+        ka, va = make_run(67, 300, integral=False)
+        kb, vb = make_run(71, 200, integral=False)
+        before = [x.tobytes() for x in (ka, va, kb, vb)]
+        merge_combine(ka, va, kb, vb, np.subtract, right_op=np.negative)
+        assert [x.tobytes() for x in (ka, va, kb, vb)] == before
+
+    @pytest.mark.parametrize("shared", [1, 300])
+    def test_key_buffer_slack_bounded(self, shared):
+        # The keys may be a view of the upper-bound buffer, whose unused
+        # tail (one entry per matched pair) stays within 1/64 of the keys.
+        ka = np.arange(0, 4000, 2, dtype=np.uint64)
+        kb = np.union1d(ka[:shared], np.arange(1, 2000, 2, dtype=np.uint64))
+        keys, vals = merge_combine(ka, np.ones(ka.size), kb, np.ones(kb.size))
+        assert_bit_identical(
+            (keys, vals), reference_union(ka, np.ones(ka.size), kb, np.ones(kb.size), np.add)
+        )
+        buffer = keys if keys.base is None else keys.base
+        assert buffer.size * 64 <= keys.size * 65
+
+    def test_streamed_segment_boundary_match(self, tmp_path):
+        # Segments cut at every `chunk`-th key of the larger run; a key
+        # shared by both runs sits exactly on each cut, so every such
+        # pair must land in the same segment and combine once.
+        chunk = 4
+        ka = np.arange(0, 80, 2, dtype=np.uint64)
+        cuts = ka[chunk::chunk]
+        kb = np.union1d(cuts, np.arange(1, 30, 6, dtype=np.uint64)).astype(np.uint64)
+        va = hash_uniform(73, ka)
+        vb = hash_uniform(79, kb)
+        whole = merge_combine(ka, va, kb, vb)
+        with ColumnarWriter(tmp_path / "m.col", (1 << 16, 1 << 16)) as w:
+            merge_runs_streamed((ka, va), (kb, vb), w, chunk=chunk)
+            run = w.close()
+        got_k, got_v, _ = load_run(run.path)
+        assert_bit_identical((np.asarray(got_k), np.asarray(got_v)), whole)
+        assert_bit_identical(whole, reference_union(ka, va, kb, vb, np.add))
 
 
 class TestIntersectAndMembership:

@@ -65,6 +65,34 @@ class TestDistribution:
         assert 28 < flipped.mean() < 36
 
 
+def splitmix64_python(x):
+    """The splitmix64 finalizer on one Python int, wrapping at 2^64."""
+    mask = (1 << 64) - 1
+    x = (x + 0x9E3779B97F4A7C15) & mask
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+    return x ^ (x >> 31)
+
+
+class TestSplitmix:
+    def test_matches_python_reference(self):
+        x = hash_u64(5, np.arange(500))
+        x[:3] = [0, 2**64 - 1, 2**63]
+        got = splitmix64(x)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [splitmix64_python(int(v)) for v in x]
+
+    def test_zero_d_input(self):
+        got = splitmix64(np.uint64(12345))
+        assert np.asarray(got).shape == ()
+        assert int(got) == splitmix64_python(12345)
+
+    def test_input_not_modified(self):
+        x = np.arange(100, dtype=np.uint64)
+        splitmix64(x)
+        assert np.array_equal(x, np.arange(100, dtype=np.uint64))
+
+
 class TestValidation:
     def test_too_many_coordinates(self):
         with pytest.raises(ValueError):
